@@ -4,7 +4,6 @@ use crate::resources::{ResourceEstimate, ResourceModel};
 use crate::scheduler::Scheduler;
 use crate::CLOCK_HZ;
 use quantize::QuantScheme;
-use serde::{Deserialize, Serialize};
 use tiny_vbf::config::TinyVbfConfig;
 
 /// The modelled Tiny-VBF accelerator instance.
@@ -18,7 +17,7 @@ pub struct Accelerator {
 }
 
 /// Latency / throughput / utilization summary for one frame size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameReport {
     /// Quantization scheme name.
     pub scheme: String,

@@ -13,11 +13,10 @@
 use crate::memory::MemoryBudget;
 use crate::{MACS_PER_PE, NUM_PES};
 use quantize::QuantScheme;
-use serde::{Deserialize, Serialize};
 use tiny_vbf::config::TinyVbfConfig;
 
 /// One row of Table VI: resource utilization of the accelerator under one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceEstimate {
     /// Scheme name.
     pub scheme: String,

@@ -5,7 +5,6 @@
 //! `z[row]` and lateral position `x[col]`.
 
 use crate::{BeamformError, BeamformResult};
-use serde::{Deserialize, Serialize};
 use ultrasound::LinearArray;
 
 /// Axial depth rows and lateral columns of the reconstruction grid.
@@ -17,7 +16,7 @@ use ultrasound::LinearArray;
 /// assert_eq!(grid.num_rows(), 368);
 /// assert_eq!(grid.num_cols(), 128);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImagingGrid {
     z_positions: Vec<f32>,
     x_positions: Vec<f32>,

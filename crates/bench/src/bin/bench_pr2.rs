@@ -10,13 +10,14 @@
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::Beamformer;
+use quantize::QuantScheme;
 use serve::service::beamform_server;
 use serve::BatchConfig;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tiny_vbf::config::TinyVbfConfig;
-use tiny_vbf::inference::TinyVbfBeamformer;
 use tiny_vbf::model::TinyVbf;
+use tiny_vbf::quantized::QuantizedTinyVbfBeamformer;
 use ultrasound::{ChannelData, LinearArray, Medium, Phantom, PlaneWave, PlaneWaveSimulator};
 
 struct LoadPoint {
@@ -36,7 +37,7 @@ struct RunResult {
 /// returns throughput + batching statistics. Panics if any served image
 /// differs from the serial reference.
 fn run_config(
-    beamformer: &TinyVbfBeamformer,
+    beamformer: &QuantizedTinyVbfBeamformer,
     array: &LinearArray,
     grid: &ImagingGrid,
     sound_speed: f32,
@@ -84,7 +85,7 @@ fn main() {
     let array = LinearArray::small_test_array();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.012, if fast { 16 } else { 24 }, 16);
     let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-    let beamformer = TinyVbfBeamformer::new(TinyVbf::new(&config).expect("model"));
+    let beamformer = QuantizedTinyVbfBeamformer::new(&TinyVbf::new(&config).expect("model"), QuantScheme::float());
     let sound_speed = Medium::soft_tissue().sound_speed();
     let simulator = PlaneWaveSimulator::new(array.clone(), Medium::soft_tissue(), 0.026);
 

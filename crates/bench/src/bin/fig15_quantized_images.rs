@@ -5,9 +5,11 @@
 use bench::evaluation_config_from_env;
 use beamforming::bmode::BModeImage;
 use beamforming::pipeline::Beamformer;
+use beamforming::plan::PlanCache;
 use quantize::QuantScheme;
+use std::sync::Arc;
 use tiny_vbf::evaluation::train_models;
-use tiny_vbf::quantized::QuantizedTinyVbf;
+use tiny_vbf::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
 use ultrasound::picmus::PicmusKind;
 use usmetrics::compare::{nrmse, psnr_db};
 
@@ -16,18 +18,21 @@ fn main() {
     eprintln!("training Tiny-VBF…");
     let models = train_models(&config).expect("training failed");
     let grid = config.grid();
+    // One ToF plan per frame geometry, replayed by every scheme.
+    let tof_plans = Arc::new(PlanCache::new(PlanCache::DEFAULT_CAPACITY));
+    let backend = |scheme| {
+        QuantizedTinyVbfBeamformer::with_tof_cache(QuantizedTinyVbf::from_model(&models.tiny_vbf, scheme), Arc::clone(&tof_plans))
+    };
 
     for (kind, label) in [(PicmusKind::InSilico, "simulation"), (PicmusKind::InVitro, "phantom")] {
         let frame = config.contrast_frame(kind).expect("frame");
         println!("=== Fig. 15 — {label} data ===");
-        let float_model = QuantizedTinyVbf::from_model(&models.tiny_vbf, QuantScheme::float());
-        let float_iq = float_model
+        let float_iq = backend(QuantScheme::float())
             .beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)
             .expect("float beamform");
         let float_envelope = float_iq.envelope();
         for scheme in QuantScheme::all() {
-            let quantized = QuantizedTinyVbf::from_model(&models.tiny_vbf, scheme);
-            let iq = quantized
+            let iq = backend(scheme)
                 .beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)
                 .expect("beamform");
             let envelope = iq.envelope();

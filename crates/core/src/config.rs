@@ -8,10 +8,9 @@
 //! pixel of the row.
 
 use crate::{TinyVbfError, TinyVbfResult};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the Tiny-VBF model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TinyVbfConfig {
     /// Number of receive channels in the ToF-corrected input (token feature width).
     pub channels: usize,

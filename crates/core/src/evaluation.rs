@@ -7,20 +7,23 @@
 
 use crate::baselines::{Fcnn, TinyCnn};
 use crate::config::TinyVbfConfig;
-use crate::inference::{FcnnBeamformer, TinyCnnBeamformer, TinyVbfBeamformer};
+use crate::inference::{FcnnBeamformer, TinyCnnBeamformer};
 use crate::model::TinyVbf;
-use crate::quantized::QuantizedTinyVbf;
+use crate::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
 use crate::training::{build_training_set, train_fcnn, train_tiny_cnn, train_tiny_vbf, TrainerConfig, TrainingHistory};
 use crate::TinyVbfResult;
 use beamforming::bmode::BModeImage;
 use beamforming::grid::ImagingGrid;
+use beamforming::iq::IqImage;
 use beamforming::mvdr::Mvdr;
 use beamforming::pipeline::{Beamformer, DelayAndSum};
+use beamforming::plan::PlanCache;
+use beamforming::BeamformResult;
 use quantize::QuantScheme;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use ultrasound::dataset::TrainingSetConfig;
 use ultrasound::picmus::{PicmusDataset, PicmusFrame, PicmusKind};
-use ultrasound::LinearArray;
+use ultrasound::{ChannelData, LinearArray};
 use usmetrics::psf::LateralPsf;
 use usmetrics::region::CircularRoi;
 use usmetrics::{contrast_metrics, resolution_metrics, ContrastMetrics, ResolutionMetrics};
@@ -195,20 +198,42 @@ pub fn train_models(config: &EvaluationConfig) -> TinyVbfResult<TrainedModels> {
     Ok(TrainedModels { tiny_vbf, tiny_cnn, fcnn, tiny_vbf_history, tiny_cnn_history, fcnn_history })
 }
 
+/// A beamformer shown under the paper's name for it: `bench::report` looks up the
+/// paper's reference values by the row label, while the float Tiny-VBF adapter's own
+/// name is its serving label (`tiny-vbf-fp`).
+struct PaperLabel<B>(&'static str, B);
+
+impl<B: Beamformer> Beamformer for PaperLabel<B> {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn beamform(
+        &self,
+        data: &ChannelData,
+        array: &LinearArray,
+        grid: &ImagingGrid,
+        sound_speed: f32,
+    ) -> BeamformResult<IqImage> {
+        self.1.beamform(data, array, grid, sound_speed)
+    }
+}
+
 /// The beamformers compared in the paper's tables, in table order:
 /// DAS, MVDR, Tiny-CNN, Tiny-VBF (FCNN is included at the end for the GOPs comparison).
+/// Tiny-VBF runs as the float rung of the serving adapter.
 pub fn beamformer_suite(models: &TrainedModels, config: &EvaluationConfig) -> Vec<Box<dyn Beamformer>> {
     vec![
         Box::new(DelayAndSum::default()),
         Box::new(config.mvdr.clone()),
         Box::new(TinyCnnBeamformer::new(models.tiny_cnn.clone())),
-        Box::new(TinyVbfBeamformer::new(models.tiny_vbf.clone())),
+        Box::new(PaperLabel("Tiny-VBF", QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, QuantScheme::float()))),
         Box::new(FcnnBeamformer::new(models.fcnn.clone())),
     ]
 }
 
 /// One row of the contrast tables (Table I / Table V).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContrastTableRow {
     /// Beamformer (or quantization scheme) name.
     pub beamformer: String,
@@ -217,7 +242,7 @@ pub struct ContrastTableRow {
 }
 
 /// One row of the resolution tables (Table II / Table IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolutionTableRow {
     /// Beamformer (or quantization scheme) name.
     pub beamformer: String,
@@ -303,7 +328,7 @@ pub fn resolution_table(
 }
 
 /// One row of the FPGA quantization-quality tables (Tables IV and V combined).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedQualityRow {
     /// Quantization scheme name.
     pub scheme: String,
@@ -330,11 +355,14 @@ pub fn quantized_quality_table(
     let targets = central_targets_in_view(&resolution_frame, &grid);
     let cysts = cysts_in_view(&contrast_frame, &grid);
 
+    // The ToF plan depends only on the frame geometry, so every scheme replays one.
+    let tof_plans = Arc::new(PlanCache::new(PlanCache::DEFAULT_CAPACITY));
     let mut rows = Vec::new();
     for scheme in QuantScheme::all() {
-        let quantized = QuantizedTinyVbf::from_model(model, scheme);
+        let backend =
+            QuantizedTinyVbfBeamformer::with_tof_cache(QuantizedTinyVbf::from_model(model, scheme), Arc::clone(&tof_plans));
 
-        let res_iq = quantized.beamform(&resolution_frame.channel_data, &resolution_frame.array, &grid, config.sound_speed)?;
+        let res_iq = backend.beamform(&resolution_frame.channel_data, &resolution_frame.array, &grid, config.sound_speed)?;
         let res_envelope = res_iq.envelope();
         let mut per_target = Vec::new();
         for &(x, z) in &targets {
@@ -345,7 +373,7 @@ pub fn quantized_quality_table(
         let resolution = ResolutionMetrics::mean_of(&per_target)
             .unwrap_or(ResolutionMetrics { axial_mm: f32::NAN, lateral_mm: f32::NAN });
 
-        let con_iq = quantized.beamform(&contrast_frame.channel_data, &contrast_frame.array, &grid, config.sound_speed)?;
+        let con_iq = backend.beamform(&contrast_frame.channel_data, &contrast_frame.array, &grid, config.sound_speed)?;
         let con_envelope = con_iq.envelope();
         let mut per_cyst = Vec::new();
         for cyst in &cysts {
@@ -432,7 +460,8 @@ mod tests {
         assert!(models.tiny_vbf_history.improved() || models.tiny_vbf_history.epoch_losses.len() < 2);
 
         let beamformers = beamformer_suite(&models, &config);
-        assert_eq!(beamformers.len(), 5);
+        let labels: Vec<&str> = beamformers.iter().map(|b| b.name()).collect();
+        assert_eq!(labels, ["DAS", "MVDR", "Tiny-CNN", "Tiny-VBF", "FCNN"]);
         let table = contrast_table(&beamformers, &config, PicmusKind::InSilico).unwrap();
         assert_eq!(table.len(), 5);
         for row in &table {

@@ -7,7 +7,6 @@
 
 use crate::config::TinyVbfConfig;
 use neural::flops::{activation_ops, attention_ops, conv2d_ops, dense_ops, layernorm_ops, to_gops};
-use serde::{Deserialize, Serialize};
 
 /// Paper-reported GOPs/frame for Tiny-VBF (368 × 128 frame).
 pub const PAPER_TINY_VBF_GOPS: f64 = 0.34;
@@ -32,7 +31,7 @@ pub const PAPER_CNN8_CPU_SECONDS: f64 = 4.0;
 pub const PAPER_MVDR_CPU_SECONDS: f64 = 240.0;
 
 /// GOPs/frame estimate for one model on a given frame geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GopsEstimate {
     /// Model name.
     pub model: String,

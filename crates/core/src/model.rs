@@ -246,77 +246,6 @@ impl TinyVbf {
         Ok(self.output_act.infer(&out))
     }
 
-    /// Inference over a batch of independent depth rows, split across the
-    /// workspace-default worker threads (see [`runtime::default_threads`]).
-    ///
-    /// This is the multi-frame scaling primitive: each worker clones the model
-    /// once for its whole chunk (amortising the clone that `infer_row`'s
-    /// `&mut self` layer caches would otherwise force per call) and outputs are
-    /// returned in input order, identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] when any row's width differs from
-    /// the configured channel count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use neural::init::normal;
-    /// use tiny_vbf::config::TinyVbfConfig;
-    /// use tiny_vbf::model::TinyVbf;
-    ///
-    /// let config = TinyVbfConfig::tiny_test();
-    /// let model = TinyVbf::new(&config)?;
-    /// let rows: Vec<_> = (0..4).map(|i| normal(&[config.tokens, config.channels], 0.5, i)).collect();
-    /// let outputs = model.forward_batch(&rows)?;
-    /// assert_eq!(outputs.len(), 4);
-    /// assert_eq!(outputs[0].shape(), &[config.tokens, 2]); // (I, Q) per token
-    /// # Ok::<(), tiny_vbf::TinyVbfError>(())
-    /// ```
-    pub fn forward_batch(&self, rows: &[Tensor]) -> TinyVbfResult<Vec<Tensor>> {
-        self.forward_batch_with_threads(rows, runtime::default_threads())
-    }
-
-    /// [`TinyVbf::forward_batch`] with an explicit *total* thread budget.
-    ///
-    /// The budget is split via [`runtime::split_budget`]: batch items run
-    /// concurrently across the outer workers, and each item's forward pass may
-    /// use the remaining share for its internal matmul row parallelism (only
-    /// relevant when the batch is smaller than the budget).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TinyVbf::forward_batch`].
-    pub fn forward_batch_with_threads(&self, rows: &[Tensor], num_threads: usize) -> TinyVbfResult<Vec<Tensor>> {
-        use std::sync::Mutex;
-        // Keyed by batch index so the reported error is the first one in
-        // input order, independent of the thread count.
-        let failure: Mutex<Option<(usize, TinyVbfError)>> = Mutex::new(None);
-        let (outer, inner) = runtime::split_budget(num_threads, rows.len());
-        let mut out: Vec<Option<Tensor>> = vec![None; rows.len()];
-        runtime::par_map_rows_with_budget(&mut out, 1, outer, inner, |offset, chunk| {
-            let mut model = self.clone();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                match model.infer_row(&rows[offset + i]) {
-                    Ok(t) => *slot = Some(t),
-                    Err(e) => {
-                        let index = offset + i;
-                        let mut first = failure.lock().expect("forward_batch mutex poisoned");
-                        if first.as_ref().is_none_or(|(j, _)| index < *j) {
-                            *first = Some((index, e));
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        if let Some((_, e)) = failure.into_inner().expect("forward_batch mutex poisoned") {
-            return Err(e);
-        }
-        Ok(out.into_iter().map(|t| t.expect("forward_batch worker skipped a row")).collect())
-    }
-
     /// Backward pass for the most recent [`forward_row`](Self::forward_row), given the
     /// gradient of the loss with respect to the row output. Accumulates parameter
     /// gradients; the input gradient is discarded (the ToF data is not trainable).

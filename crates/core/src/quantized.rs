@@ -10,17 +10,16 @@
 //! reproduces Tables IV and V and Fig. 15 — and, because the datapath is integer, a
 //! quantized rung is now *cheaper* than float instead of paying to simulate rounding.
 //!
-//! Two entry points consume a quantized model:
+//! Two types consume a quantized model:
 //!
-//! * [`QuantizedTinyVbf`] — the raw fixed-point network (row / cube / batch
-//!   inference) plus a direct [`Beamformer`] impl used by the evaluation
-//!   harness,
-//! * [`QuantizedTinyVbfBeamformer`] — the **serving** adapter: planned ToF
-//!   (shared [`PlanCache`], like [`crate::inference::TinyVbfBeamformer`]),
-//!   row-parallel sweeps, and per-stream SQNR accuracy-proxy counters
-//!   surfaced through [`Beamformer::quant_quality_stats`] so a
-//!   `serve::router::Router` can expose quantization degradation per backend
-//!   label under load.
+//! * [`QuantizedTinyVbf`] — the raw network under one scheme: per-row
+//!   inference on `(tokens, channels)` depth rows,
+//! * [`QuantizedTinyVbfBeamformer`] — the one Tiny-VBF [`Beamformer`]: planned
+//!   ToF through a shareable [`PlanCache`], row-parallel sweeps, and per-stream
+//!   SQNR accuracy-proxy counters surfaced through
+//!   [`Beamformer::quant_quality_stats`] so a `serve::router::Router` can
+//!   expose quantization degradation per backend label under load. The float
+//!   model is served as one more rung, [`QuantScheme::float`].
 
 use crate::inference::parallel_row_sweep;
 use crate::model::{TinyVbf, TinyVbfWeights, TransformerBlockWeights};
@@ -29,8 +28,8 @@ use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::{Beamformer, QuantQualityStats};
-use beamforming::plan::{FrameFormat, PlanCache, PlanCacheStats};
-use beamforming::tof::{tof_correct, TofCube};
+use beamforming::plan::{BeamformPlan, FrameFormat, PlanCache, PlanCacheStats};
+use beamforming::tof::{tof_correct_planned, TofCube};
 use beamforming::{BeamformError, BeamformResult};
 use neural::activation::softmax_rows;
 use neural::tensor::Tensor;
@@ -183,96 +182,15 @@ impl QuantizedTinyVbf {
         let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
         int.infer_row(&self.weights, row)
     }
-
-    fn check_row(&self, row: &Tensor) -> TinyVbfResult<()> {
-        if row.shape().len() != 2 || row.cols() != self.weights.config.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {}) row", self.weights.config.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Quantized inference over a batch of independent depth rows, split
-    /// across the workspace-default worker threads — the fixed-point
-    /// counterpart of [`TinyVbf::forward_batch`].
-    ///
-    /// Each row's output depends only on that row, so batch results are
-    /// **bitwise identical** to serial per-row [`QuantizedTinyVbf::infer_row`]
-    /// calls for every thread count (asserted by this module's tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] (for the first offending row in
-    /// input order) when any row's width differs from the configured channel
-    /// count.
-    pub fn forward_batch(&self, rows: &[Tensor]) -> TinyVbfResult<Vec<Tensor>> {
-        self.forward_batch_with_threads(rows, runtime::default_threads())
-    }
-
-    /// [`QuantizedTinyVbf::forward_batch`] with an explicit *total* thread
-    /// budget, split via [`runtime::split_budget`] (rows concurrent across
-    /// the outer workers, each row's matmuls capped at the inner share).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedTinyVbf::forward_batch`].
-    pub fn forward_batch_with_threads(&self, rows: &[Tensor], num_threads: usize) -> TinyVbfResult<Vec<Tensor>> {
-        for row in rows {
-            self.check_row(row)?;
-        }
-        let (outer, inner) = runtime::split_budget(num_threads, rows.len());
-        Ok(runtime::par_collect_budgeted(rows.len(), outer, inner, |i| self.infer_row(&rows[i])))
-    }
-
-    /// Runs quantized inference over every row of a normalized ToF cube.
-    ///
-    /// # Errors
-    ///
-    /// Propagates image-assembly errors.
-    pub fn beamform_cube(&self, cube: &TofCube, grid: &ImagingGrid) -> TinyVbfResult<IqImage> {
-        let mut data = Vec::with_capacity(grid.num_pixels());
-        for row in 0..cube.rows() {
-            let input = cube_row(cube, row);
-            let out = self.infer_row(&input);
-            for col in 0..out.rows() {
-                data.push(Complex32::new(out.at(col, 0), out.at(col, 1)));
-            }
-        }
-        Ok(IqImage::from_data(data, grid.clone())?)
-    }
 }
 
-impl Beamformer for QuantizedTinyVbf {
-    fn name(&self) -> &str {
-        self.scheme.name
-    }
-
-    fn beamform(
-        &self,
-        data: &ChannelData,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> BeamformResult<IqImage> {
-        let mut cube = tof_correct(data, array, grid, PlaneWave::zero_angle(), sound_speed)?;
-        cube.normalize();
-        self.beamform_cube(&cube, grid)
-            .map_err(|e| BeamformError::InvalidParameter { name: "quantized_tiny_vbf", reason: e.to_string() })
-    }
-}
-
-/// Fixed-point Tiny-VBF as a first-class **serving** backend.
+/// Tiny-VBF under any Table III scheme, float included, as a [`Beamformer`]
+/// — the one adapter the evaluation harness, the examples and the `serve`
+/// stack all use:
 ///
-/// Where the raw [`QuantizedTinyVbf`] beamforms serially through the direct
-/// [`tof_correct`] (fine for the evaluation harness), this adapter is built
-/// for the `serve` stack:
-///
-/// * the ToF cube goes through a cached dense
-///   [`BeamformPlan`](beamforming::plan::BeamformPlan)
-///   ([`tof_correct_planned`](beamforming::tof::tof_correct_planned),
-///   bitwise identical to the direct path), with
+/// * the ToF cube goes through a cached dense [`BeamformPlan`]
+///   ([`tof_correct_planned`], bitwise identical to the direct
+///   [`beamforming::tof::tof_correct`]), with
 ///   the [`PlanCache`] shareable across backends — the ToF geometry does not
 ///   depend on the quantization scheme, so every per-scheme engine of a
 ///   router can replay **one** plan ([`QuantizedTinyVbfBeamformer::with_tof_cache`]),
@@ -361,6 +279,20 @@ impl QuantizedTinyVbfBeamformer {
         *self.quality.lock().expect("quantized quality mutex poisoned")
     }
 
+    /// Fetches (or builds) the dense ToF plan for one stream shape.
+    fn tof_plan(
+        &self,
+        array: &LinearArray,
+        grid: &ImagingGrid,
+        sound_speed: f32,
+        frame: &FrameFormat,
+    ) -> BeamformResult<Arc<BeamformPlan>> {
+        self.tof_plans.get_or_build(array, grid, sound_speed, frame, || {
+            BeamformPlan::for_tof(array, grid, PlaneWave::zero_angle(), sound_speed, *frame)
+        })
+    }
+
+    /// The normalized ToF cube of one frame, replayed from its cached plan.
     fn planned_cube(
         &self,
         data: &ChannelData,
@@ -368,7 +300,10 @@ impl QuantizedTinyVbfBeamformer {
         grid: &ImagingGrid,
         sound_speed: f32,
     ) -> BeamformResult<TofCube> {
-        crate::inference::planned_normalized_cube(&self.tof_plans, data, array, grid, sound_speed)
+        let plan = self.tof_plan(array, grid, sound_speed, &FrameFormat::of(data))?;
+        let mut cube = tof_correct_planned(data, &plan)?;
+        cube.normalize();
+        Ok(cube)
     }
 
     /// Accumulates the SQNR proxy for one served frame from the integer
@@ -477,8 +412,10 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
     }
 
     fn prepare(&self, array: &LinearArray, grid: &ImagingGrid, sound_speed: f32, frame: &FrameFormat) {
-        // Best effort, like the other planned wrappers.
-        crate::inference::warm_tof_plan(&self.tof_plans, array, grid, sound_speed, frame);
+        // Best effort, like the other planned wrappers: build the ToF plan
+        // now so the stream's first frame doesn't pay it (configuration
+        // errors surface on the next beamform call instead).
+        let _ = self.tof_plan(array, grid, sound_speed, frame);
     }
 
     fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
@@ -494,6 +431,7 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
 mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
+    use beamforming::tof::tof_correct;
     use neural::init::normal;
 
     fn model_and_row() -> (TinyVbf, Tensor) {
@@ -510,9 +448,28 @@ mod tests {
         let quantized = QuantizedTinyVbf::from_model(&model, QuantScheme::float());
         let q_out = quantized.infer_row(&row);
         for (a, b) in float_out.as_slice().iter().zip(q_out.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        assert_eq!(quantized.name(), "Float");
+        assert_eq!(quantized.scheme().name, "Float");
+
+        // Frame level: the float adapter against direct ToF + normalize and
+        // per-row inference through the training layers.
+        let (rf, array, grid) = small_frame();
+        let mut model = small_model(&array, &grid);
+        let served = QuantizedTinyVbfBeamformer::new(&model, QuantScheme::float())
+            .beamform(&rf, &array, &grid, 1540.0)
+            .unwrap();
+        assert_eq!(served.num_pixels(), grid.num_pixels());
+        let mut cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
+        cube.normalize();
+        for r in 0..cube.rows() {
+            let out = model.infer_row(&cube_row(&cube, r)).unwrap();
+            for c in 0..cube.cols() {
+                let px = served.value(r, c);
+                assert_eq!(px.re.to_bits(), out.at(c, 0).to_bits(), "I at ({r}, {c})");
+                assert_eq!(px.im.to_bits(), out.at(c, 1).to_bits(), "Q at ({r}, {c})");
+            }
+        }
     }
 
     #[test]
@@ -579,57 +536,57 @@ mod tests {
         (rf, array, grid)
     }
 
+    fn small_model(array: &LinearArray, grid: &ImagingGrid) -> TinyVbf {
+        TinyVbf::new(&TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols())).unwrap()
+    }
+
     fn small_quantized(scheme: QuantScheme) -> (QuantizedTinyVbf, ChannelData, LinearArray, ImagingGrid) {
         let (rf, array, grid) = small_frame();
-        let config = crate::config::TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
+        let model = small_model(&array, &grid);
         (QuantizedTinyVbf::from_model(&model, scheme), rf, array, grid)
     }
 
     #[test]
-    fn forward_batch_is_bitwise_identical_to_serial_rows() {
-        let (quantized, rf, array, grid) = small_quantized(QuantScheme::hybrid2());
-        let mut cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
-        cube.normalize();
-        let rows: Vec<Tensor> = (0..cube.rows()).map(|r| cube_row(&cube, r)).collect();
-        let serial: Vec<Tensor> = rows.iter().map(|row| quantized.infer_row(row)).collect();
-        for threads in [1, 2, 3, 8] {
-            let batch = quantized.forward_batch_with_threads(&rows, threads).unwrap();
-            assert_eq!(batch, serial, "threads {threads}");
-        }
-        assert_eq!(quantized.forward_batch(&rows).unwrap(), serial);
-    }
-
-    #[test]
-    fn forward_batch_reports_bad_rows_in_input_order() {
-        let (quantized, _, _, _) = small_quantized(QuantScheme::w16());
-        let channels = quantized.weights().config.channels;
-        let rows = vec![Tensor::zeros(&[4, channels]), Tensor::zeros(&[4, channels + 1])];
-        assert!(matches!(quantized.forward_batch(&rows), Err(TinyVbfError::ShapeMismatch { .. })));
-    }
-
-    #[test]
     fn serving_adapter_is_bitwise_identical_to_direct_quantized_inference() {
-        let (quantized, rf, array, grid) = small_quantized(QuantScheme::hybrid1());
-        // Reference: the evaluation-harness path (direct ToF, serial rows).
-        let direct = quantized.beamform(&rf, &array, &grid, 1540.0).unwrap();
-        let backend = QuantizedTinyVbfBeamformer::from_quantized(quantized);
-        let served = backend.beamform(&rf, &array, &grid, 1540.0).unwrap();
-        assert_eq!(direct, served, "planned ToF + parallel sweep must not change quantized output");
+        let (rf, array, grid) = small_frame();
+        let model = small_model(&array, &grid);
+        // Reference: direct ToF + normalize, then serial per-row inference.
+        let mut direct_cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
+        direct_cube.normalize();
+        for scheme in QuantScheme::all() {
+            let backend = QuantizedTinyVbfBeamformer::new(&model, scheme);
+            let mut pixels = Vec::with_capacity(grid.num_pixels());
+            for r in 0..direct_cube.rows() {
+                let out = backend.quantized().infer_row(&cube_row(&direct_cube, r));
+                pixels.extend((0..out.rows()).map(|c| Complex32::new(out.at(c, 0), out.at(c, 1))));
+            }
+            let direct = IqImage::from_data(pixels, grid.clone()).unwrap();
+            let served = backend.beamform(&rf, &array, &grid, 1540.0).unwrap();
+            assert_eq!(direct, served, "{}: planned ToF + parallel sweep must not change the output", scheme.name);
+            // The serving label comes from the scheme.
+            assert_eq!(backend.name(), scheme.backend_label());
+            assert_eq!(backend.scheme(), &scheme);
+        }
+
+        // The planned cube replays the direct one bit for bit.
+        let backend = QuantizedTinyVbfBeamformer::new(&model, QuantScheme::hybrid1());
+        let cube = backend.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
+        for (i, (a, b)) in direct_cube.as_slice().iter().zip(cube.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "cube sample {i}: direct {a} vs planned {b}");
+        }
 
         // Thread count must not change the cube sweep either.
-        let cube = backend.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
         let serial = backend.beamform_cube_with_threads(&cube, &grid, 1).unwrap();
         for threads in [2, 3, 8] {
             assert_eq!(serial, backend.beamform_cube_with_threads(&cube, &grid, threads).unwrap(), "threads {threads}");
         }
 
-        // The serving label comes from the scheme.
-        assert_eq!(backend.name(), QuantScheme::hybrid1().backend_label());
-        assert_eq!(backend.scheme(), &QuantScheme::hybrid1());
-        // Channel mismatches are reported, not panicked.
+        // Channel mismatches are reported, not panicked: a foreign cube, and
+        // a model configured for a different probe.
         let wrong = TofCube::zeros(4, grid.num_cols(), array.num_elements() + 1);
         assert!(backend.beamform_cube(&wrong, &grid).is_err());
+        let narrow = TinyVbf::new(&TinyVbfConfig::small().for_frame(16, grid.num_cols())).unwrap();
+        assert!(QuantizedTinyVbfBeamformer::new(&narrow, QuantScheme::float()).beamform(&rf, &array, &grid, 1540.0).is_err());
     }
 
     #[test]

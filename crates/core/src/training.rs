@@ -17,7 +17,6 @@ use neural::loss::mse;
 use neural::optimizer::{Adam, Optimizer};
 use neural::schedule::{LrSchedule, PolynomialDecay};
 use neural::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use ultrasound::dataset::TrainingFrame;
 use ultrasound::{LinearArray, PlaneWave};
 
@@ -106,7 +105,7 @@ pub fn build_training_set(
 }
 
 /// Training-loop configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Number of passes over the training examples.
     pub epochs: usize,
@@ -131,7 +130,7 @@ impl TrainerConfig {
 }
 
 /// Per-epoch loss history of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingHistory {
     /// Mean loss per epoch.
     pub epoch_losses: Vec<f32>,

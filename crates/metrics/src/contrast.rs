@@ -10,11 +10,10 @@
 use crate::region::CircularRoi;
 use crate::{MetricsError, MetricsResult};
 use beamforming::ImagingGrid;
-use serde::{Deserialize, Serialize};
 use usdsp::stats::{mean, std_dev, Histogram};
 
 /// Contrast metrics of one cyst.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContrastMetrics {
     /// Contrast ratio in dB (larger = darker cyst relative to speckle).
     pub cr_db: f32,

@@ -1,10 +1,9 @@
 //! Lateral point-spread-function profiles (Figures 12 and 14 of the paper).
 
 use beamforming::{BModeImage, ImagingGrid};
-use serde::{Deserialize, Serialize};
 
 /// A lateral cut through the image at a fixed depth, normalized to its own maximum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LateralPsf {
     /// Lateral pixel positions in millimetres.
     pub positions_mm: Vec<f32>,

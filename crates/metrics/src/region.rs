@@ -1,10 +1,9 @@
 //! Regions of interest on the imaging grid.
 
 use beamforming::ImagingGrid;
-use serde::{Deserialize, Serialize};
 
 /// A circular region of interest in physical coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircularRoi {
     /// Lateral centre (metres).
     pub cx: f32,
@@ -40,7 +39,7 @@ impl CircularRoi {
 }
 
 /// An annular (ring-shaped) region of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnularRoi {
     /// Lateral centre (metres).
     pub cx: f32,

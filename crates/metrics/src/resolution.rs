@@ -3,10 +3,9 @@
 
 use crate::{MetricsError, MetricsResult};
 use beamforming::ImagingGrid;
-use serde::{Deserialize, Serialize};
 
 /// Axial and lateral −6 dB (half-amplitude) widths of a point target, in millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolutionMetrics {
     /// Axial FWHM in millimetres.
     pub axial_mm: f32,

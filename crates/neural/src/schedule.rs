@@ -3,7 +3,6 @@
 //! The paper uses a polynomial decay from 1e-4 to 1e-6 with cyclic restarts;
 //! [`PolynomialDecay`] reproduces that behaviour.
 
-use serde::{Deserialize, Serialize};
 
 /// Learning-rate schedule interface.
 pub trait LrSchedule {
@@ -13,7 +12,7 @@ pub trait LrSchedule {
 
 /// Polynomial decay `lr(t) = (lr0 − lr_end)·(1 − t/T)^p + lr_end`, optionally cyclic
 /// (the decay restarts every `T` steps).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolynomialDecay {
     /// Initial learning rate.
     pub initial_lr: f32,
@@ -49,7 +48,7 @@ impl LrSchedule for PolynomialDecay {
 }
 
 /// A constant learning rate (useful for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantLr(
     /// The learning rate returned at every step.
     pub f32,

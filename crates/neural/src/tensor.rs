@@ -6,10 +6,9 @@
 //! handwritten forward/backward passes need.
 
 use crate::{NeuralError, NeuralResult};
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major tensor of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

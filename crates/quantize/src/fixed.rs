@@ -1,7 +1,6 @@
 //! Signed, saturating fixed-point formats.
 
 use crate::{QuantizeError, QuantizeResult};
-use serde::{Deserialize, Serialize};
 
 /// A signed two's-complement fixed-point format `Q(word_bits − frac_bits − 1).frac_bits`.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// representable range. Quantization here is *simulated*: values stay `f32` but are
 /// rounded onto the grid, which is exactly what is needed to evaluate image-quality
 /// degradation (Tables IV and V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedFormat {
     word_bits: u32,
     frac_bits: u32,

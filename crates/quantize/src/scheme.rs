@@ -10,10 +10,9 @@
 //! | Hybrid-2 | 8       | 24      | 16          | 16                   |
 
 use crate::fixed::FixedFormat;
-use serde::{Deserialize, Serialize};
 
 /// Which kind of tensor a quantization decision applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorRole {
     /// Trained weights and biases.
     Weight,
@@ -27,7 +26,7 @@ pub enum TensorRole {
 
 /// A complete quantization scheme: one (optional) fixed-point format per tensor role.
 /// `None` means the role stays in 32-bit floating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantScheme {
     /// Scheme name as used in the paper's tables.
     pub name: &'static str,

@@ -1,10 +1,9 @@
 //! Minimal JSON value model, parser and writer.
 //!
-//! The workspace builds offline and the vendored `serde` stand-in is a
-//! no-op marker crate, so machine-readable reports (the scenario benchmark
-//! harness, the `serve` stats wire format, `BENCH_baseline.json`) need a
-//! real JSON implementation of their own. This module provides the small,
-//! dependency-free subset those consumers use:
+//! The workspace builds offline without `serde`, so machine-readable reports
+//! (the scenario benchmark harness, the `serve` stats wire format,
+//! `BENCH_baseline.json`) need a JSON implementation of their own. This
+//! module provides the small, dependency-free subset those consumers use:
 //!
 //! * [`Json`] — an order-preserving value tree (objects keep insertion
 //!   order, so written reports have a stable, diff-friendly field order),

@@ -7,10 +7,9 @@ use crate::transducer::LinearArray;
 use crate::{UltrasoundError, UltrasoundResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Acquisition timing/sampling settings for one plane-wave shot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcquisitionConfig {
     /// Sampling frequency in Hz.
     pub sampling_frequency: f32,
@@ -76,7 +75,7 @@ impl AcquisitionConfig {
 /// assert_eq!(data.sample(1, 0), 3.0);
 /// assert_eq!(data.channel(0)[1], 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelData {
     samples: Vec<f32>,
     num_samples: usize,

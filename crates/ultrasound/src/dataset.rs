@@ -15,7 +15,6 @@ use crate::transducer::LinearArray;
 use crate::UltrasoundResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One training example: the raw RF frame plus the phantom it came from.
 #[derive(Debug, Clone)]
@@ -29,7 +28,7 @@ pub struct TrainingFrame {
 }
 
 /// Configuration of the random training-set generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingSetConfig {
     /// Probe geometry (defaults to the scaled L11-5v).
     pub array: LinearArray,

@@ -11,7 +11,6 @@
 use crate::acquisition::ChannelData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use usdsp::interp::{sample_at, InterpMethod};
 
 /// Parameters of the in-vitro degradation model.
@@ -21,7 +20,7 @@ use usdsp::interp::{sample_at, InterpMethod};
 /// let model = InVitroDegradation::default();
 /// assert!(model.snr_db > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InVitroDegradation {
     /// Electronic (thermal) noise level as an SNR in dB relative to the RF RMS.
     pub snr_db: f32,

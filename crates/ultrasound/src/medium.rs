@@ -4,7 +4,6 @@
 //! (dB/cm/MHz), which is what makes deep targets dimmer than shallow ones — the effect
 //! the paper points to when U-Net-style models lose contrast with depth in vivo.
 
-use serde::{Deserialize, Serialize};
 
 /// Homogeneous acoustic medium.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let a = m.attenuation_factor(1.0e6, 0.01);
 /// assert!(a < 1.0 && a > 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Medium {
     sound_speed: f32,
     attenuation_db_cm_mhz: f32,

@@ -7,10 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A single point scatterer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scatterer {
     /// Lateral position in metres.
     pub x: f32,
@@ -29,7 +28,7 @@ impl Scatterer {
 
 /// A circular region description, used both for carving anechoic cysts and for metric
 /// regions of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircleRegion {
     /// Lateral centre in metres.
     pub cx: f32,
@@ -68,7 +67,7 @@ impl CircleRegion {
 /// assert_eq!(phantom.point_targets().len(), 1);
 /// assert_eq!(phantom.cysts().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phantom {
     scatterers: Vec<Scatterer>,
     point_targets: Vec<Scatterer>,

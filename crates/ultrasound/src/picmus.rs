@@ -16,10 +16,9 @@ use crate::phantom::{CircleRegion, Phantom, Scatterer};
 use crate::planewave::{PlaneWave, PlaneWaveSimulator};
 use crate::transducer::LinearArray;
 use crate::UltrasoundResult;
-use serde::{Deserialize, Serialize};
 
 /// Which acquisition style to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PicmusKind {
     /// Clean simulated acquisition (PICMUS "simulation" column).
     InSilico,
@@ -29,7 +28,7 @@ pub enum PicmusKind {
 }
 
 /// Which PICMUS target layout to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PicmusTarget {
     /// Point targets for axial/lateral resolution measurement.
     Resolution,
@@ -84,7 +83,7 @@ impl PicmusFrame {
 ///
 /// The `scale` knob shrinks the probe (channel count) and speckle density together so
 /// tests and doctests can run quickly; `scale = 1.0` is the full 128-channel setup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PicmusDataset {
     kind: PicmusKind,
     target: PicmusTarget,

@@ -13,10 +13,9 @@ use crate::phantom::Phantom;
 use crate::pulse::Pulse;
 use crate::transducer::LinearArray;
 use crate::{UltrasoundError, UltrasoundResult};
-use serde::{Deserialize, Serialize};
 
 /// A steered plane-wave transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaneWave {
     /// Steering angle in radians (0 = straight down, the paper's single-angle case).
     pub angle: f32,

@@ -5,7 +5,6 @@
 //! width is derived from the probe's fractional bandwidth.
 
 use crate::transducer::LinearArray;
-use serde::{Deserialize, Serialize};
 use std::f32::consts::PI;
 
 /// A Gaussian-modulated sinusoidal pulse `exp(-t²/2σ²)·cos(2π f0 t + φ)`.
@@ -16,7 +15,7 @@ use std::f32::consts::PI;
 /// // The pulse peaks at t = 0 and decays away from it.
 /// assert!(pulse.evaluate(0.0).abs() > pulse.evaluate(pulse.half_duration()).abs());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pulse {
     center_frequency: f32,
     sigma: f32,

@@ -6,7 +6,6 @@
 //! [`LinearArray::builder`].
 
 use crate::{UltrasoundError, UltrasoundResult};
-use serde::{Deserialize, Serialize};
 
 /// A 1-D linear transducer array lying along the x-axis at `z = 0`.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(probe.num_elements(), 128);
 /// assert!((probe.aperture() - 127.0 * 0.3e-3).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearArray {
     num_elements: usize,
     pitch: f32,
@@ -306,14 +305,8 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let probe = LinearArray::l11_5v();
-        let json = serde_json_like(&probe);
-        assert!(json.contains("128"));
-    }
-
-    // Minimal serialization smoke test without pulling serde_json: use the Debug format
-    // as a stand-in for structural stability, and check serde derives compile via a
-    // generic bound.
-    fn serde_json_like<T: Serialize + std::fmt::Debug>(value: &T) -> String {
-        format!("{value:?}")
+        // The Debug format stands in for structural stability.
+        let text = format!("{probe:?}");
+        assert!(text.contains("128"));
     }
 }

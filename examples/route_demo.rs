@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backend: "tiny-vbf".into(),
     };
     let model_config = TinyVbfConfig::small().for_frame(array_vbf.num_elements(), spec_vbf.grid.num_cols());
-    let vbf = TinyVbfBeamformer::new(TinyVbf::new(&model_config)?);
+    let vbf = QuantizedTinyVbfBeamformer::new(&TinyVbf::new(&model_config)?, QuantScheme::float());
 
     println!("simulating 2 × {FRAMES_PER_STREAM} frames ({} | {})…", spec_das.label(), spec_vbf.label());
     let frames_das = simulate_stream(&array_das, 0.026, 500);
